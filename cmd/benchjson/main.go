@@ -94,7 +94,7 @@ var defaultTargets = []struct{ pkg, bench, benchtime string }{
 	{"./internal/core/", "BenchmarkDispatch", ""},
 	{"./internal/dist/", "BenchmarkPoolDispatch", ""},
 	// The v3 wire data plane: pure codec cost (must stay 0 allocs/op)
-	// and the end-to-end loopback dispatch rate for v2 vs v3. Pinned
+	// and the end-to-end loopback dispatch rate. Pinned
 	// iteration counts: the wireGuard alloc/floor gates need enough
 	// iterations to amortize session setup, so a time-based CI smoke
 	// (100x) must not starve them.

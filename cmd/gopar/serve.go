@@ -202,7 +202,7 @@ func runServe(argv []string) int {
 		return fail(err)
 	}
 	if pool != nil {
-		// Pool health, per-worker negotiated protocol, and wire traffic
+		// Pool health, per-worker series, and wire traffic
 		// land on the same registry the API listener serves at /metrics.
 		pool.RegisterMetrics(srv.Registry())
 	}

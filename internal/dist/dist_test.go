@@ -28,6 +28,13 @@ func startWorker(t *testing.T, name string, slots int, runner core.Runner) strin
 	return l.Addr().String()
 }
 
+// poolSessions counts the live sessions behind the pool's slot tokens.
+func poolSessions(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.sessions)
+}
+
 func echoRunner(prefix string) core.FuncRunner {
 	return func(ctx context.Context, job *core.Job) ([]byte, error) {
 		return []byte(fmt.Sprintf("%s:%s\n", prefix, strings.Join(job.Args, ","))), nil
@@ -85,6 +92,51 @@ func TestPoolWorkerDispatchAttribution(t *testing.T) {
 	}
 	if res.WorkerDispatch > 5*time.Second {
 		t.Fatalf("WorkerDispatch = %v, implausibly large", res.WorkerDispatch)
+	}
+}
+
+// TestPoolBatchedRoundTripOrderAndPayloads pushes enough concurrent
+// jobs through one session to force multi-item frames in both
+// directions, then checks every job's payload round-tripped intact and
+// landed on the right seq.
+func TestPoolBatchedRoundTripOrderAndPayloads(t *testing.T) {
+	echo := core.FuncRunner(func(ctx context.Context, job *core.Job) ([]byte, error) {
+		out := fmt.Sprintf("%d:%s:%s", job.Seq, job.Args[0], string(job.Stdin))
+		return []byte(out), nil
+	})
+	addr := startWorker(t, "batchy", 8, echo)
+	pool, err := Dial([]WorkerSpec{{Addr: addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	const jobs = 200
+	results := make([]core.Result, jobs)
+	done := make(chan int, jobs)
+	for i := 0; i < jobs; i++ {
+		go func(i int) {
+			seq := i + 1
+			results[i] = pool.Run(context.Background(), &core.Job{
+				Seq:   seq,
+				Args:  []string{fmt.Sprintf("arg%d", seq)},
+				Stdin: []byte(fmt.Sprintf("in%d", seq)),
+			})
+			done <- i
+		}(i)
+	}
+	for i := 0; i < jobs; i++ {
+		<-done
+	}
+	for i, res := range results {
+		seq := i + 1
+		if !res.OK() {
+			t.Fatalf("job %d failed: %+v", seq, res)
+		}
+		want := fmt.Sprintf("%d:arg%d:in%d", seq, seq, seq)
+		if string(res.Stdout) != want {
+			t.Fatalf("job %d stdout = %q, want %q (response mux mismatch)", seq, res.Stdout, want)
+		}
 	}
 }
 
@@ -283,8 +335,10 @@ func TestPoolHealthAndRedialBudget(t *testing.T) {
 		t.Fatalf("initial health = %+v", h)
 	}
 
-	// Kill worker 1 for good, then run jobs until its slot exposes the
-	// broken connection.
+	// Kill worker 1 for good, then run jobs. The death surfaces either
+	// as a transport error on a run that took the slot first, or — when
+	// the session reader notices the closed connection first — as the
+	// slot leaving Live before any run could pick it.
 	kill1()
 	var sawErr bool
 	for i := 0; i < 2; i++ {
@@ -293,8 +347,8 @@ func TestPoolHealthAndRedialBudget(t *testing.T) {
 			sawErr = true
 		}
 	}
-	if !sawErr {
-		t.Fatal("no transport error observed after worker death")
+	if h := pool.Health(); !sawErr && h.Live == 2 {
+		t.Fatalf("worker death neither failed a run nor retired its slot: %+v", h)
 	}
 
 	// Budget 2 with 100ms+200ms backoff: the slot should be declared
@@ -331,10 +385,16 @@ func TestPoolRedialRecovers(t *testing.T) {
 	}
 	defer pool.Close()
 
+	// A run either takes the slot before the session reader notices the
+	// death and fails with a transport error, or finds no slot at all
+	// (the retired session's tokens are withdrawn) and fails at its
+	// deadline; the bound keeps the second case from waiting forever.
 	kill1()
-	res := pool.Run(context.Background(), &core.Job{Seq: 1, Args: []string{"x"}})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	res := pool.Run(ctx, &core.Job{Seq: 1, Args: []string{"x"}})
+	cancel()
 	if res.Err == nil {
-		t.Fatal("expected transport error from dead worker")
+		t.Fatal("expected an error from the dead worker")
 	}
 
 	// Resurrect the worker on the same address.
@@ -350,6 +410,72 @@ func TestPoolRedialRecovers(t *testing.T) {
 	res = pool.Run(context.Background(), &core.Job{Seq: 2, Args: []string{"y"}})
 	if !res.OK() {
 		t.Fatalf("post-recovery run = %+v", res)
+	}
+}
+
+// TestSessionLossRetiresAllSlots kills a multiplexed worker mid-run
+// and checks the whole slot block moves through Redialing to Lost —
+// session death must not strand virtual tokens.
+func TestSessionLossRetiresAllSlots(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	var conns []net.Conn
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn
+			go serveConn(ctx, conn, WorkerConfig{Name: "doomed", Slots: 3, Runner: echoRunner("d")})
+		}
+	}()
+
+	pool, err := Dial([]WorkerSpec{{Addr: l.Addr().String()}}, WithRedialBudget(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if h := pool.Health(); h.Total != 3 || h.Live != 3 {
+		t.Fatalf("initial health = %+v", h)
+	}
+	if n := poolSessions(pool); n != 1 {
+		t.Fatalf("pool holds %d sessions for one worker, want 1", n)
+	}
+	if res := pool.Run(context.Background(), &core.Job{Seq: 1, Args: []string{"x"}}); !res.OK() {
+		t.Fatalf("warm-up job: %+v", res)
+	}
+
+	cancel()
+	l.Close()
+	for {
+		select {
+		case c := <-accepted:
+			conns = append(conns, c)
+			continue
+		default:
+		}
+		break
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		h := pool.Health()
+		if h.Lost == 3 && h.Redialing == 0 && h.Live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session loss never fully accounted: %+v", h)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -374,12 +500,15 @@ func TestProtocolVersionMismatch(t *testing.T) {
 		if err != nil {
 			return
 		}
-		c := newCodec(conn)
-		c.send(hello{Version: 99, Name: "future", Slots: 1})
+		conn.Write([]byte(`{"version":99,"name":"future","slots":1}` + "\n"))
 		conn.Close()
 	}()
-	if _, err := Dial([]WorkerSpec{{Addr: l.Addr().String()}}); err == nil {
+	_, err = Dial([]WorkerSpec{{Addr: l.Addr().String()}})
+	if err == nil {
 		t.Fatal("version mismatch accepted")
+	}
+	if !strings.Contains(err.Error(), "version 99") || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("error %q does not name both versions", err)
 	}
 }
 

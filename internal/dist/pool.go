@@ -20,45 +20,44 @@ import (
 type WorkerSpec struct {
 	// Addr is the worker's TCP address (host:port).
 	Addr string
-	// Slots caps connections to this worker; 0 uses the count the
+	// Slots caps concurrent jobs on this worker; 0 uses the count the
 	// worker advertises.
 	Slots int
 }
 
 // Pool is a core.Runner that executes jobs on remote workers. It holds
-// one TCP connection per worker slot; Run borrows a free connection,
-// ships the job, and returns the result. Transport failures surface as
-// job errors (so Spec.Retries re-runs them, potentially on another
-// worker), and broken connections are redialed in the background — up
-// to a per-slot budget, after which the slot is written off and the
-// pool runs degraded (visible via Health) rather than spinning on a
+// one multiplexed TCP session per worker and hands out one virtual slot
+// token per worker slot; Run borrows a token, ships the job over its
+// session, and returns the result. Transport failures surface as job
+// errors (so Spec.Retries re-runs them, potentially on another worker),
+// and a broken session is redialed in the background — up to a
+// per-worker budget, after which its slots are written off and the pool
+// runs degraded (visible via Health) rather than spinning on a
 // permanently dead worker forever.
 type Pool struct {
-	free   chan *wconn
-	total  int
-	closed chan struct{}
-	mu     sync.Mutex
-	conns  map[*wconn]bool
+	// free holds one token per idle slot; a token is the session the
+	// slot belongs to, so a session with n slots appears up to n times.
+	free     chan *session
+	total    int
+	closed   chan struct{}
+	mu       sync.Mutex
+	sessions map[*session]bool
 
-	// redialBudget caps redial attempts per retired connection; <= 0
+	// redialBudget caps redial attempts per retired session; <= 0
 	// means unlimited (the pre-budget behavior).
 	redialBudget int
-	// maxProtocol caps the protocol version the pool negotiates
-	// (0 = the highest this build speaks).
-	maxProtocol int
-	// deflateThreshold is the v3 payload size above which stdin ships
+	// deflateThreshold is the payload size above which stdin ships
 	// deflated (0 = DefaultDeflateThreshold, negative = off).
 	deflateThreshold int
-	// wire counts framed traffic (v2/v3) across all the pool's
-	// sessions.
+	// wire counts framed traffic across all the pool's sessions.
 	wire      WireStats
 	redialing atomic.Int64
 	lost      atomic.Int64
 
 	// onHealth, when non-nil, is invoked with the current Health after
-	// every capacity change (connection retired, redial succeeded,
-	// slot written off). Called from Run and redialer goroutines: keep
-	// it fast and concurrency-safe.
+	// every capacity change (session retired, redial succeeded, slots
+	// written off). Called from Run and redialer goroutines: keep it
+	// fast and concurrency-safe.
 	onHealth func(Health)
 
 	// snaps holds the latest telemetry snapshot piggybacked by each
@@ -77,21 +76,12 @@ const DefaultRedialBudget = 8
 type Option func(*Pool)
 
 // WithRedialBudget overrides the redial-attempt cap for broken
-// connections. n <= 0 retries forever.
+// sessions. n <= 0 retries forever.
 func WithRedialBudget(n int) Option {
 	return func(p *Pool) { p.redialBudget = n }
 }
 
-// WithMaxProtocol caps the protocol version the pool negotiates with
-// workers (0 = the highest this build speaks). Pinning 1 forces the
-// line-delimited one-job-per-connection dialect even against v2-capable
-// workers — the interop escape hatch and the baseline for the batching
-// benchmarks.
-func WithMaxProtocol(v int) Option {
-	return func(p *Pool) { p.maxProtocol = v }
-}
-
-// WithDeflateThreshold sets the v3 payload size (bytes) above which the
+// WithDeflateThreshold sets the payload size (bytes) above which the
 // coordinator ships stdin deflated. 0 keeps DefaultDeflateThreshold;
 // negative disables compression entirely.
 func WithDeflateThreshold(n int) Option {
@@ -110,7 +100,7 @@ func WithHealthNotify(fn func(Health)) Option {
 type Health struct {
 	// Total is the slot count established at Dial time.
 	Total int
-	// Live slots hold a healthy worker connection (free or running a
+	// Live slots belong to a healthy worker session (free or running a
 	// job).
 	Live int
 	// Redialing slots lost their connection and are reconnecting in
@@ -119,12 +109,6 @@ type Health struct {
 	// Lost slots exhausted their redial budget; the pool's capacity is
 	// permanently reduced by this many until Close.
 	Lost int
-	// Protocols maps each currently-connected worker name to its
-	// negotiated protocol version, so mixed-fleet rollouts are
-	// observable after the handshake (satellite: version was previously
-	// invisible once Dial returned). Workers whose connections are all
-	// down are absent until a redial restores them.
-	Protocols map[string]int
 }
 
 // Degraded reports whether any capacity is currently missing.
@@ -133,10 +117,9 @@ func (h Health) Degraded() bool { return h.Live < h.Total }
 // Health reports the pool's current capacity state.
 func (p *Pool) Health() Health {
 	p.mu.Lock()
-	live := len(p.conns)
-	protos := make(map[string]int, 4)
-	for c := range p.conns {
-		protos[c.name] = c.proto
+	live := 0
+	for s := range p.sessions {
+		live += s.slots
 	}
 	p.mu.Unlock()
 	return Health{
@@ -144,185 +127,98 @@ func (p *Pool) Health() Health {
 		Live:      live,
 		Redialing: int(p.redialing.Load()),
 		Lost:      int(p.lost.Load()),
-		Protocols: protos,
 	}
 }
 
 // Wire exposes the pool's framed-traffic counters (bytes, frames,
-// compression ratio across its v2/v3 sessions).
+// compression ratio across its sessions).
 func (p *Pool) Wire() *WireStats { return &p.wire }
 
 // storeSnap files the latest telemetry snapshot piggybacked by a
-// worker (per response on v2, per result frame on v3).
+// worker on a result frame.
 func (p *Pool) storeSnap(s telemetry.Snapshot) {
 	p.snapMu.Lock()
 	p.snaps[s.Worker] = s
 	p.snapMu.Unlock()
 }
 
-// wconn is one slot token. For protocol v1 it owns a dedicated TCP
-// connection (c is its codec, sess is nil). For protocols v2/v3 it is a
-// virtual slot of a multiplexed session: slots-many tokens share one
-// sess (and its nc), and c is nil — capacity control still flows
-// through the same free channel either way.
-type wconn struct {
-	name  string
-	addr  string
-	proto int // negotiated protocol version for this slot's connection
-	nc    net.Conn
-	c     *codec
-	sess  *session
-}
-
 // Dial connects to every worker and returns the pool. It fails if any
-// worker is unreachable or speaks the wrong protocol version.
+// worker is unreachable or its hello is not a protocol version 3 hello
+// with at least one slot.
 func Dial(specs []WorkerSpec, opts ...Option) (*Pool, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("dist: no workers given")
 	}
 	p := &Pool{
 		closed:       make(chan struct{}),
-		conns:        map[*wconn]bool{},
+		sessions:     map[*session]bool{},
 		redialBudget: DefaultRedialBudget,
 		snaps:        map[string]telemetry.Snapshot{},
 	}
 	for _, opt := range opts {
 		opt(p)
 	}
-	if p.maxProtocol <= 0 || p.maxProtocol > protocolMax {
-		p.maxProtocol = protocolMax
-	}
-	var all []*wconn
 	var sessions []*session
 	for _, spec := range specs {
-		first, sess, h, err := p.dialAny(spec.Addr)
+		s, err := p.dialSession(spec.Addr, spec.Slots)
 		if err != nil {
-			closeAll(all)
+			for _, s := range sessions {
+				s.fail()
+			}
 			return nil, err
 		}
-		slots := h.Slots
-		if spec.Slots > 0 && spec.Slots < slots {
-			slots = spec.Slots
-		}
-		if sess != nil {
-			// One multiplexed connection carries the worker's whole slot
-			// pool; hand out slots-many virtual tokens for it.
-			sess.slots = slots
-			sessions = append(sessions, sess)
-			for i := 0; i < slots; i++ {
-				all = append(all, &wconn{name: h.Name, addr: spec.Addr, proto: sess.proto, nc: sess.nc, sess: sess})
-			}
-			continue
-		}
-		all = append(all, first)
-		for i := 1; i < slots; i++ {
-			c, _, err := dialWorker(spec.Addr)
-			if err != nil {
-				closeAll(all)
-				return nil, fmt.Errorf("dist: opening slot %d to %s: %w", i+1, spec.Addr, err)
-			}
-			all = append(all, c)
-		}
+		sessions = append(sessions, s)
+		p.total += s.slots
 	}
-	p.total = len(all)
-	p.free = make(chan *wconn, p.total)
-	for _, c := range all {
-		p.conns[c] = true
-		p.free <- c
+	p.free = make(chan *session, p.total)
+	for _, s := range sessions {
+		p.sessions[s] = true
+		for i := 0; i < s.slots; i++ {
+			p.free <- s
+		}
 	}
 	// Hooked up only after the tokens are registered, so a proactive
 	// retirement never races the registration it has to undo.
-	for _, sess := range sessions {
-		sess := sess
-		sess.setOnFail(func() { p.retireSession(sess) })
+	for _, s := range sessions {
+		s.setOnFail(func() { p.retireSession(s) })
 	}
 	return p, nil
 }
 
-// dialAny connects to addr and negotiates the best protocol both sides
-// speak: min(worker's hello.max_version, the pool's cap). Version 2 or
-// 3 yields a multiplexed session (JSON frames vs binary frames);
-// everything else yields a plain v1 connection exactly as before.
-func (p *Pool) dialAny(addr string) (*wconn, *session, hello, error) {
+// dialSession connects to addr, reads and checks the worker's hello,
+// and starts a session over the connection with min(maxSlots, the
+// worker's advertised slots) slots (maxSlots <= 0 takes the worker's).
+func (p *Pool) dialSession(addr string, maxSlots int) (*session, error) {
 	nc, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
-		return nil, nil, hello{}, fmt.Errorf("dist: dialing %s: %w", addr, err)
+		return nil, fmt.Errorf("dist: dialing %s: %w", addr, err)
 	}
-	br := bufio.NewReader(nc)
-	bw := bufio.NewWriter(nc)
-	c := newCodecRW(br, bw)
-	var h hello
+	// One deep reader serves the hello line and then the frames, so a
+	// full coalesced frame moves in one syscall each way.
+	br := bufio.NewReaderSize(nc, v3BufSize)
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if err := c.recv(&h); err != nil {
-		nc.Close()
-		return nil, nil, hello{}, fmt.Errorf("dist: handshake with %s: %w", addr, err)
+	h, err := readHello(br)
+	if err == nil {
+		err = checkHello(h)
 	}
-	nc.SetReadDeadline(time.Time{})
-	if err := checkHello(h); err != nil {
-		nc.Close()
-		return nil, nil, hello{}, err
-	}
-	if h.MaxVersion >= 2 && p.maxProtocol >= 2 {
-		ver := h.MaxVersion
-		if p.maxProtocol < ver {
-			ver = p.maxProtocol
-		}
-		if protocolMax < ver {
-			ver = protocolMax
-		}
-		if err := c.send(upgrade{Upgrade: ver}); err != nil {
-			nc.Close()
-			return nil, nil, hello{}, fmt.Errorf("dist: upgrading %s: %w", addr, err)
-		}
-		// The JSON decoder may have buffered bytes past the hello; the
-		// frame reader must see them first. v3 gets deep buffers so a
-		// full coalesced frame moves in one syscall each way (the
-		// handshake flushed bw, so a fresh writer on nc is safe).
-		fr := bufio.NewReader(io.MultiReader(c.leftover(), br))
-		sw := bw
-		if ver >= 3 {
-			fr = bufio.NewReaderSize(io.MultiReader(c.leftover(), br), v3BufSize)
-			sw = bufio.NewWriterSize(nc, v3BufSize)
-		}
-		deflateMin := resolveDeflateMin(p.deflateThreshold)
-		return nil, newSession(h.Name, addr, nc, fr, sw, ver, deflateMin, &p.wire, p.storeSnap), h, nil
-	}
-	return &wconn{name: h.Name, addr: addr, proto: 1, nc: nc, c: c}, nil, h, nil
-}
-
-// dialWorker opens one plain v1 connection (no upgrade offer). Used for
-// the extra per-slot connections to v1 workers and their redials.
-func dialWorker(addr string) (*wconn, hello, error) {
-	nc, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
-		return nil, hello{}, fmt.Errorf("dist: dialing %s: %w", addr, err)
-	}
-	c := newCodec(nc)
-	var h hello
-	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if err := c.recv(&h); err != nil {
 		nc.Close()
-		return nil, hello{}, fmt.Errorf("dist: handshake with %s: %w", addr, err)
+		return nil, fmt.Errorf("dist: handshake with %s: %w", addr, err)
 	}
 	nc.SetReadDeadline(time.Time{})
-	if err := checkHello(h); err != nil {
-		nc.Close()
-		return nil, hello{}, err
+	slots := h.Slots
+	if maxSlots > 0 && maxSlots < slots {
+		slots = maxSlots
 	}
-	return &wconn{name: h.Name, addr: addr, proto: 1, nc: nc, c: c}, h, nil
-}
-
-func closeAll(conns []*wconn) {
-	for _, c := range conns {
-		c.nc.Close()
-	}
+	return newSession(h.Name, addr, slots, nc, br, bufio.NewWriterSize(nc, v3BufSize),
+		resolveDeflateMin(p.deflateThreshold), &p.wire, p.storeSnap), nil
 }
 
 // Slots returns the pool's total concurrent capacity — the natural
 // Spec.Jobs for an engine driving this pool.
 func (p *Pool) Slots() int { return p.total }
 
-// Close shuts every connection. In-flight jobs fail.
+// Close shuts every session. In-flight jobs fail.
 func (p *Pool) Close() {
 	select {
 	case <-p.closed:
@@ -332,25 +228,27 @@ func (p *Pool) Close() {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for c := range p.conns {
-		c.nc.Close()
+	for s := range p.sessions {
+		s.nc.Close()
 	}
 }
 
-// Run implements core.Runner.
+// Run implements core.Runner. A context cancellation abandons the job
+// but keeps the session (and its token) alive; only transport failures
+// retire the whole session.
 func (p *Pool) Run(ctx context.Context, job *core.Job) core.Result {
 	res := core.Result{Job: *job, ExitCode: -1, Start: time.Now()}
-	var conn *wconn
-	for conn == nil {
+	var sess *session
+	for sess == nil {
 		select {
-		case c := <-p.free:
+		case s := <-p.free:
 			// Discard stale tokens of sessions that died while the token
 			// sat in the free channel; retireSession already accounted
 			// for the capacity.
-			if c.sess != nil && c.sess.isDead() {
+			if s.isDead() {
 				continue
 			}
-			conn = c
+			sess = s
 		case <-ctx.Done():
 			res.Err = ctx.Err()
 			res.End = time.Now()
@@ -361,7 +259,7 @@ func (p *Pool) Run(ctx context.Context, job *core.Job) core.Result {
 			return res
 		}
 	}
-	res.Host = conn.name
+	res.Host = sess.name
 
 	req := request{
 		Seq:     job.Seq,
@@ -377,79 +275,29 @@ func (p *Pool) Run(ctx context.Context, job *core.Job) core.Result {
 		}
 	}
 
-	if conn.sess != nil {
-		return p.runSession(ctx, conn, req, res)
-	}
-
-	// Unblock the connection read if ctx is cancelled mid-job.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.nc.SetDeadline(time.Now())
-		case <-watchDone:
-		}
-	}()
-
-	var resp response
-	err := conn.c.send(req)
-	if err == nil {
-		err = conn.c.recv(&resp)
-	}
-	close(watchDone)
-	res.End = time.Now()
-
-	if err != nil {
-		// Transport failure: retire the connection and redial in the
-		// background so capacity recovers.
-		p.retire(conn)
-		if ctx.Err() != nil {
-			res.Err = ctx.Err()
-		} else {
-			res.Err = fmt.Errorf("dist: worker %s: %w", conn.name, err)
-		}
-		return res
-	}
-	conn.nc.SetDeadline(time.Time{})
-	p.free <- conn
-
-	p.applyResponse(&res, &resp)
-	return res
-}
-
-// runSession ships one job over a multiplexed v2/v3 session. A context
-// cancellation abandons the job but keeps the session (and its token)
-// alive; only transport failures retire the whole session.
-func (p *Pool) runSession(ctx context.Context, conn *wconn, req request, res core.Result) core.Result {
-	resp, err := conn.sess.roundTrip(ctx, req)
+	resp, err := sess.roundTrip(ctx, req)
 	res.End = time.Now()
 	if err != nil {
-		if ctx.Err() != nil && !conn.sess.isDead() {
-			p.free <- conn
+		if ctx.Err() != nil && !sess.isDead() {
+			p.free <- sess
 			res.Err = ctx.Err()
 			return res
 		}
-		p.retireSession(conn.sess)
+		p.retireSession(sess)
 		if ctx.Err() != nil {
 			res.Err = ctx.Err()
 		} else {
-			res.Err = fmt.Errorf("dist: worker %s: %w", conn.name, err)
+			res.Err = fmt.Errorf("dist: worker %s: %w", sess.name, err)
 		}
 		return res
 	}
-	p.free <- conn
-	p.applyResponse(&res, &resp)
+	p.free <- sess
+	applyResponse(&res, &resp)
 	return res
 }
 
-// applyResponse maps a wire response onto a core.Result and files the
-// piggybacked telemetry snapshot. Shared by all protocol dialects (v3
-// responses carry no per-response snapshot — the session files one per
-// frame through storeSnap instead).
-func (p *Pool) applyResponse(res *core.Result, resp *response) {
-	if resp.Telemetry != nil {
-		p.storeSnap(*resp.Telemetry)
-	}
+// applyResponse maps a wire response onto a core.Result.
+func applyResponse(res *core.Result, resp *response) {
 	res.ExitCode = resp.ExitCode
 	res.Stdout = resp.Stdout
 	res.Stderr = resp.Stderr
@@ -462,7 +310,6 @@ func (p *Pool) applyResponse(res *core.Result, resp *response) {
 	}
 	// Worker-side dispatch overhead (receive→process-start), measured on
 	// the worker's own clock so it needs no cross-host clock agreement.
-	// Old workers omit RecvNS and the attribution stays zero.
 	if resp.RecvNS > 0 && resp.StartNS > resp.RecvNS {
 		res.WorkerDispatch = time.Duration(resp.StartNS - resp.RecvNS)
 	}
@@ -472,65 +319,7 @@ func (p *Pool) applyResponse(res *core.Result, resp *response) {
 	}
 }
 
-// retire closes a broken connection and starts a background redialer
-// that restores the slot when the worker comes back. The redialer gives
-// up after the pool's redial budget, permanently degrading capacity
-// (recorded in Health.Lost) instead of spinning on a dead worker.
-func (p *Pool) retire(c *wconn) {
-	c.nc.Close()
-	p.mu.Lock()
-	delete(p.conns, c)
-	p.mu.Unlock()
-	p.redialing.Add(1)
-	p.notifyHealth()
-	go func(addr string) {
-		restored := p.redialLoop(addr)
-		p.redialing.Add(-1)
-		select {
-		case <-p.closed:
-		default:
-			if !restored {
-				p.lost.Add(1)
-			}
-			p.notifyHealth()
-		}
-	}(c.addr)
-}
-
-// redialLoop tries to re-establish one slot's connection within the
-// redial budget. It reports whether capacity was restored; a false
-// return after pool close does not mean the slot is lost.
-func (p *Pool) redialLoop(addr string) bool {
-	backoff := 100 * time.Millisecond
-	for attempt := 1; p.redialBudget <= 0 || attempt <= p.redialBudget; attempt++ {
-		select {
-		case <-p.closed:
-			return false
-		case <-time.After(backoff):
-		}
-		nc, _, err := dialWorker(addr)
-		if err == nil {
-			p.mu.Lock()
-			select {
-			case <-p.closed:
-				p.mu.Unlock()
-				nc.nc.Close()
-				return false
-			default:
-			}
-			p.conns[nc] = true
-			p.mu.Unlock()
-			p.free <- nc
-			return true
-		}
-		if backoff < 5*time.Second {
-			backoff *= 2
-		}
-	}
-	return false
-}
-
-// retireSession tears down a failed v2/v3 session: every virtual token is
+// retireSession tears down a failed session: every virtual token is
 // withdrawn (the free channel is swept; tokens held by in-flight Runs
 // are simply never returned), the full slot count moves to Redialing,
 // and one background redialer tries to restore the worker. sync.Once
@@ -547,11 +336,7 @@ func (p *Pool) retireSession(s *session) {
 		default:
 		}
 		p.mu.Lock()
-		for c := range p.conns {
-			if c.sess == s {
-				delete(p.conns, c)
-			}
-		}
+		delete(p.sessions, s)
 		p.mu.Unlock()
 		// Sweep stale tokens out of the free channel so restored
 		// capacity cannot overflow it. Bounded pass: each live token is
@@ -559,9 +344,9 @@ func (p *Pool) retireSession(s *session) {
 		n := len(p.free)
 		for i := 0; i < n; i++ {
 			select {
-			case c := <-p.free:
-				if c.sess != s {
-					p.free <- c
+			case t := <-p.free:
+				if t != s {
+					p.free <- t
 				}
 			default:
 				i = n
@@ -585,10 +370,8 @@ func (p *Pool) retireSession(s *session) {
 }
 
 // redialSessionLoop tries to restore a whole worker's capacity (up to
-// slots) within the redial budget, renegotiating the protocol from
-// scratch — a worker that restarted with a different version is picked
-// up in whatever dialect it now speaks. Returns how many slots came
-// back.
+// slots) within the redial budget, redoing the handshake from scratch.
+// Returns how many slots came back.
 func (p *Pool) redialSessionLoop(addr string, slots int) int {
 	backoff := 100 * time.Millisecond
 	for attempt := 1; p.redialBudget <= 0 || attempt <= p.redialBudget; attempt++ {
@@ -610,51 +393,25 @@ func (p *Pool) redialSessionLoop(addr string, slots int) int {
 // restoreWorker performs one reconnection attempt for a retired
 // session's worker and registers whatever capacity it yields.
 func (p *Pool) restoreWorker(addr string, slots int) (int, bool) {
-	w1, sess, h, err := p.dialAny(addr)
+	s, err := p.dialSession(addr, slots)
 	if err != nil {
 		return 0, false
-	}
-	var conns []*wconn
-	if sess != nil {
-		n := h.Slots
-		if slots < n {
-			n = slots
-		}
-		sess.slots = n
-		for i := 0; i < n; i++ {
-			conns = append(conns, &wconn{name: h.Name, addr: addr, proto: sess.proto, nc: sess.nc, sess: sess})
-		}
-	} else {
-		conns = append(conns, w1)
-		for i := 1; i < slots; i++ {
-			c, _, err := dialWorker(addr)
-			if err != nil {
-				break
-			}
-			conns = append(conns, c)
-		}
 	}
 	p.mu.Lock()
 	select {
 	case <-p.closed:
 		p.mu.Unlock()
-		for _, c := range conns {
-			c.nc.Close()
-		}
+		s.fail()
 		return 0, false
 	default:
 	}
-	for _, c := range conns {
-		p.conns[c] = true
-	}
+	p.sessions[s] = true
 	p.mu.Unlock()
-	for _, c := range conns {
-		p.free <- c
+	for i := 0; i < s.slots; i++ {
+		p.free <- s
 	}
-	if sess != nil {
-		sess.setOnFail(func() { p.retireSession(sess) })
-	}
-	return len(conns), true
+	s.setOnFail(func() { p.retireSession(s) })
+	return s.slots, true
 }
 
 // notifyHealth delivers the current Health to the WithHealthNotify
@@ -695,27 +452,13 @@ func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("gopar_pool_slots", "Worker pool capacity, by slot state.",
 		healthGauge(func(h Health) int { return h.Lost }), telemetry.L("state", "lost"))
 
-	// Wire-path traffic: bytes/frames shipped over framed dialects and
-	// the achieved compression ratio.
+	// Wire-path traffic: bytes/frames shipped and the achieved
+	// compression ratio.
 	p.wire.Register(reg, "gopar_dist")
 
 	// Per-worker series: the worker set is dynamic (snapshots arrive
-	// with responses, protocol versions change across redials), so emit
-	// them as a raw exposition block.
+	// with result frames), so emit them as a raw exposition block.
 	reg.RegisterText(func(w io.Writer) {
-		h := p.Health()
-		if len(h.Protocols) > 0 {
-			names := make([]string, 0, len(h.Protocols))
-			for name := range h.Protocols {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			fmt.Fprintln(w, "# HELP gopar_pool_worker_protocol Negotiated dist protocol version per connected worker.")
-			fmt.Fprintln(w, "# TYPE gopar_pool_worker_protocol gauge")
-			for _, name := range names {
-				fmt.Fprintf(w, "gopar_pool_worker_protocol{worker=%q} %d\n", name, h.Protocols[name])
-			}
-		}
 		snaps := p.WorkerSnapshots()
 		if len(snaps) == 0 {
 			return

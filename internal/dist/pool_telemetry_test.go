@@ -45,9 +45,9 @@ func TestPoolTelemetryPiggybackAndAggregation(t *testing.T) {
 		}
 		totalOK += s.OK
 	}
-	// Every response carries counters including the job it answered, but
-	// concurrent connections to one worker can store snapshots out of
-	// order, so the retained total may trail reality by up to the
+	// Every result frame carries counters including the jobs it answers,
+	// but the engine can finish before the last frame's snapshot is
+	// filed, so the retained total may trail reality by up to the
 	// in-flight window (one job per slot). It can never exceed it.
 	if totalOK > 40 || totalOK < 40-int64(pool.Slots()) {
 		t.Fatalf("fleet ok total = %d, want within %d of 40", totalOK, pool.Slots())
@@ -121,8 +121,8 @@ func TestPoolHealthTransitionsUnderInjectedWorkerLoss(t *testing.T) {
 		}
 	}
 
-	// Drive jobs through the degraded pool. Protocol-v2 sessions notice
-	// peer loss proactively — the session reader fails the moment the
+	// Drive jobs through the degraded pool. Sessions notice peer loss
+	// proactively — the session reader fails the moment the
 	// TCP connection drops — so most jobs land on survivors and see no
 	// error; at most one in-flight job per doomed worker can race the
 	// detection and report a transport error.

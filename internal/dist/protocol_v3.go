@@ -3,10 +3,9 @@ package dist
 // Protocol v3: length-prefixed binary frames with varint-encoded
 // headers and string/byte fields, CRC32C-checked payloads, and a pooled
 // codec so the steady-state encode→write and read→decode path touches
-// zero per-job heap allocations. Negotiated through the same
-// hello.max_version handshake as v2; the batch-coalescing send
-// discipline (one frame per queued burst, flush only when the queue
-// goes idle) carries over unchanged.
+// zero per-job heap allocations. The frames follow the worker's hello
+// line (see protocol.go); both send loops coalesce one frame per queued
+// burst and flush only when the queue goes idle.
 //
 // Frame layout (all multi-byte integers big-endian, varints as in
 // encoding/binary):
@@ -34,7 +33,7 @@ package dist
 // unix_nano) piggybacks once per frame instead of once per response.
 //
 // str is uvarint length + bytes. A raw blob is uvarint length + bytes;
-// a deflated blob (large payloads above the negotiated-side threshold)
+// a deflated blob (large payloads above the sender's threshold)
 // is uvarint raw_length · uvarint deflated_length · deflated bytes.
 //
 // Decoding is zero-copy where lifetimes allow it: the worker decodes
@@ -77,8 +76,8 @@ const (
 const DefaultDeflateThreshold = 4 << 10
 
 // maxBatchItemsV3 caps how many messages one binary frame coalesces.
-// Deeper than v2's cap: binary items are a few dozen bytes, so even a
-// full batch stays far under maxFrame, and on a busy pipe deeper
+// Binary items are a few dozen bytes, so even a full batch stays far
+// under maxFrame, and on a busy pipe deeper
 // coalescing is what turns per-job syscalls into per-frame ones.
 const maxBatchItemsV3 = 512
 
@@ -127,8 +126,7 @@ func b2s(b []byte) string {
 
 // --- wire telemetry -----------------------------------------------------
 
-// WireStats counts framed-protocol traffic (v2 and v3; v1 has no
-// frames). One instance aggregates a whole pool or worker; counters are
+// WireStats counts framed-protocol traffic. One instance aggregates a whole pool or worker; counters are
 // monotonic and safe for concurrent use.
 type WireStats struct {
 	bytesSent, bytesRecv   atomic.Uint64
@@ -164,8 +162,8 @@ func (s *WireStats) Register(reg *telemetry.Registry, prefix string) {
 	cf := func(c *atomic.Uint64) func() float64 {
 		return func() float64 { return float64(c.Load()) }
 	}
-	reg.CounterFunc(prefix+"_bytes_sent_total", "Framed wire bytes sent (v2/v3 dialects).", cf(&s.bytesSent))
-	reg.CounterFunc(prefix+"_bytes_received_total", "Framed wire bytes received (v2/v3 dialects).", cf(&s.bytesRecv))
+	reg.CounterFunc(prefix+"_bytes_sent_total", "Framed wire bytes sent.", cf(&s.bytesSent))
+	reg.CounterFunc(prefix+"_bytes_received_total", "Framed wire bytes received.", cf(&s.bytesRecv))
 	reg.CounterFunc(prefix+"_frames_sent_total", "Wire frames sent.", cf(&s.framesSent))
 	reg.CounterFunc(prefix+"_frames_received_total", "Wire frames received.", cf(&s.framesRecv))
 	reg.CounterFunc(prefix+"_deflate_raw_bytes_total", "Pre-compression size of deflated payload fields.", cf(&s.rawBytes))
@@ -649,7 +647,6 @@ func decodeResultsV3(body []byte, dst []response, sessName string) ([]response, 
 		r.Err = d.strCopy()
 		r.Stdout = d.blobCopy(flags&flagStdoutDeflated != 0)
 		r.Stderr = d.blobCopy(flags&flagStderrDeflated != 0)
-		r.Telemetry = nil
 	}
 	hasSnap := false
 	if d.u8() == 1 {

@@ -22,27 +22,23 @@ var errSessionDead = errors.New("dist: worker session lost")
 var respChanPool = sync.Pool{New: func() any { return make(chan response, 1) }}
 
 // session multiplexes one worker's whole slot pool over a single
-// protocol v2 or v3 connection. Run calls enqueue requests on sendq (a
-// writer goroutine coalesces them into frames), park on a per-seq
-// channel, and are woken by the reader goroutine when their response
-// arrives in some result frame. Concurrency is bounded outside the
-// session by the pool's virtual slot tokens, and worker-side by its own
-// slot workers.
+// connection. Run calls enqueue requests on sendq (a writer goroutine
+// coalesces them into frames), park on a per-seq channel, and are woken
+// by the reader goroutine when their response arrives in some result
+// frame. Concurrency is bounded outside the session by the pool's
+// virtual slot tokens, and worker-side by its own slot workers.
 type session struct {
 	name  string
 	addr  string
 	slots int
-	proto int // negotiated protocol version (2 or 3)
 	nc    net.Conn
 
 	sendq chan request
 
-	// deflateMin and wire are inherited from the pool: the stdin
-	// compression threshold and the shared traffic counters.
-	deflateMin int
-	wire       *WireStats
-	// onSnap receives the telemetry snapshot piggybacked on v3 result
-	// frames (v2 carries it per response instead).
+	// wire is the pool's shared traffic counter set.
+	wire *WireStats
+	// onSnap receives the telemetry snapshot piggybacked on result
+	// frames.
 	onSnap func(telemetry.Snapshot)
 
 	mu      sync.Mutex
@@ -59,40 +55,24 @@ type session struct {
 	retired sync.Once
 }
 
-func newSession(name, addr string, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, proto, deflateMin int, wire *WireStats, onSnap func(telemetry.Snapshot)) *session {
-	qcap := maxBatchItems
-	if proto >= 3 {
-		qcap = maxBatchItemsV3
-	}
+func newSession(name, addr string, slots int, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, deflateMin int, wire *WireStats, onSnap func(telemetry.Snapshot)) *session {
 	s := &session{
-		name:       name,
-		addr:       addr,
-		proto:      proto,
-		nc:         nc,
-		sendq:      make(chan request, qcap),
-		deflateMin: deflateMin,
-		wire:       wire,
-		onSnap:     onSnap,
-		pending:    map[int]chan response{},
-		dead:       make(chan struct{}),
+		name:    name,
+		addr:    addr,
+		slots:   slots,
+		nc:      nc,
+		sendq:   make(chan request, maxBatchItemsV3),
+		wire:    wire,
+		onSnap:  onSnap,
+		pending: map[int]chan response{},
+		dead:    make(chan struct{}),
 	}
-	if proto >= 3 {
-		go s.readLoopV3(br)
-		go func() {
-			if err := v3JobsLoop(bw, s.sendq, s.dead, deflateMin, wire); err != nil {
-				s.fail()
-			}
-		}()
-	} else {
-		go s.readLoopV2(br)
-		go func() {
-			if err := batchWriter(bw, s.sendq, s.dead, wire, func(reqs []request) batch {
-				return batch{Jobs: reqs}
-			}); err != nil {
-				s.fail()
-			}
-		}()
-	}
+	go s.readLoopV3(br)
+	go func() {
+		if err := v3JobsLoop(bw, s.sendq, s.dead, deflateMin, wire); err != nil {
+			s.fail()
+		}
+	}()
 	return s
 }
 
@@ -141,19 +121,6 @@ func (s *session) deliver(resp response) {
 	s.mu.Unlock()
 	if ch != nil {
 		ch <- resp // buffered; never blocks the reader
-	}
-}
-
-func (s *session) readLoopV2(br *bufio.Reader) {
-	for {
-		b, err := readBatch(br, s.wire)
-		if err != nil {
-			s.fail()
-			return
-		}
-		for i := range b.Results {
-			s.deliver(b.Results[i])
-		}
 	}
 }
 

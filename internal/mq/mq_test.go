@@ -2,6 +2,7 @@ package mq
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -299,6 +300,38 @@ func TestConcurrentProducers(t *testing.T) {
 		}
 		seen[string(m)] = true
 	}
+}
+
+// TestConcurrentAppendTailRead races a producer against a consumer that
+// keeps reading one past the tail — the out-of-range path a caught-up
+// consumer hits on every poll. Under -race this pins that the error
+// message reads the topic's length under the lock.
+func TestConcurrentAppendTailRead(t *testing.T) {
+	tp, err := OpenTopic(t.TempDir(), "tail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	const msgs = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < msgs; i++ {
+			if _, err := tp.Append([]byte("m")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var next int64
+	for next < msgs {
+		if _, err := tp.Read(next); err == nil {
+			next++
+		} else if !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("Read(%d): %v", next, err)
+		}
+	}
+	<-done
 }
 
 // Property: append/read round-trips arbitrary payloads in order, across

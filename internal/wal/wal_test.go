@@ -117,7 +117,7 @@ func TestFailedCompletionNotSkipped(t *testing.T) {
 	}
 }
 
-// TestDuplicateIntentsDedup models dist v2 session-retirement
+// TestDuplicateIntentsDedup models dist session-retirement
 // re-dispatch: the same seq gets multiple intents (and eventually one
 // completion); replay must collapse them to exactly-once state.
 func TestDuplicateIntentsDedup(t *testing.T) {
