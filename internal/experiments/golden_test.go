@@ -21,9 +21,15 @@ import (
 // model change, not an ordering artifact. The sharded digest matrix in
 // sharded_test.go proves the new value is identical at every shard
 // count and GOMAXPROCS.
+//
+// goldenStraggler pins the contended-slot (Jobs = tasks/2) and
+// Fail/Recover paths of the dispatcher, which the Fig 1 and Fig 3
+// points never exercise; TestStragglerShardInvariant holds every shard
+// count to the same value.
 const (
 	goldenFig1Quick = "2a906e0ea6fcc8a84ac4c36f631c257ef3390aa99eb632adac55be11a7952d4b"
 	goldenFig3      = "1c6c6da503bb7a7cfa27af5d7c269e380dc3bfd09315eef0a14a8d3f32a43ce3"
+	goldenStraggler = "5c1fb67c8a42c5170b4b3bbdd57e4bee06483408ca927f958ee874255d64c6e4"
 )
 
 func digestFig1(opts Options) string {
@@ -53,6 +59,9 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	if got := digestFig3(Options{Seed: 2024}); got != goldenFig3 {
 		t.Errorf("fig3 digest changed:\n got  %s\n want %s", got, goldenFig3)
+	}
+	if got := digestStraggler(Options{Seed: 2024}); got != goldenStraggler {
+		t.Errorf("straggler digest changed:\n got  %s\n want %s", got, goldenStraggler)
 	}
 }
 
