@@ -126,19 +126,20 @@ func ablationNVMeTable(opts Options) *metrics.Table {
 		c := cluster.New(e, cluster.Frontier(), nodes,
 			cluster.WithLustre(lustreProfile()))
 		wg := sim.NewCounter(e, nodes)
+		payload := func(fl *sim.Flow, tc cluster.TaskContext) {
+			fl.Sleep(100 * time.Millisecond)
+			if toLustre {
+				c.Lustre.FlowCreateAndWrite(fl, 256)
+			} else {
+				tc.Node.NVMe.FlowCreateAndWrite(fl, 256)
+			}
+		}
 		for _, node := range c.Nodes {
 			node := node
 			e.Spawn(node.Hostname(), func(np *sim.Proc) {
 				tasks := make([]cluster.Task, 128)
 				for t := range tasks {
-					tasks[t] = cluster.Task{FlowPayload: func(fl *sim.Flow, tc cluster.TaskContext) {
-						fl.Sleep(100 * time.Millisecond)
-						if toLustre {
-							c.Lustre.FlowCreateAndWrite(fl, 256)
-						} else {
-							tc.Node.NVMe.FlowCreateAndWrite(fl, 256)
-						}
-					}}
+					tasks[t] = cluster.Task{FlowPayload: payload}
 				}
 				node.RunParallel(np, cluster.InstanceConfig{Jobs: 128}, tasks)
 				if !toLustre {

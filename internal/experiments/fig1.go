@@ -127,15 +127,18 @@ func fig1Sim(opts Options, nodes, tasksPerNode int, label string) (Fig1Row, *sim
 			}
 			np.Sleep(setup)
 
+			// Flow payload: the million-task hot loop runs with no
+			// goroutine per task (see sim.Flow), and one payload per
+			// node reads its task's duration by sequence number.
+			durs := make([]time.Duration, tasksPerNode)
+			payload := func(fl *sim.Flow, tc cluster.TaskContext) {
+				fl.Sleep(durs[tc.Seq-1]) // the hostname+date one-liner
+				tc.Node.NVMe.FlowCreateAndWrite(fl, 256)
+			}
 			tasks := make([]cluster.Task, tasksPerNode)
 			for t := range tasks {
-				d := time.Duration(payloadRNG.LogNormal(-1.6, 0.5) * float64(time.Second))
-				// Flow payload: the million-task hot loop runs with
-				// no goroutine per task (see sim.Flow).
-				tasks[t] = cluster.Task{FlowPayload: func(fl *sim.Flow, tc cluster.TaskContext) {
-					fl.Sleep(d) // the hostname+date one-liner
-					tc.Node.NVMe.FlowCreateAndWrite(fl, 256)
-				}}
+				durs[t] = time.Duration(payloadRNG.LogNormal(-1.6, 0.5) * float64(time.Second))
+				tasks[t] = cluster.Task{FlowPayload: payload}
 			}
 			node.RunParallel(np, cluster.InstanceConfig{
 				Jobs: tasksPerNode,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -298,4 +299,136 @@ func TestStorePutNowFullPanics(t *testing.T) {
 	st := NewStore[int](e, 1)
 	st.PutNow(1)
 	st.PutNow(2)
+}
+
+func TestFlowGuardSized(t *testing.T) {
+	e := NewEngine(1)
+	var trace []int64
+	pass := func(arg int64) bool { trace = append(trace, arg); return arg%2 == 0 }
+	record := func(arg int64) { trace = append(trace, -arg) }
+	for _, arg := range []int64{2, 3} {
+		fl := e.NewFlow()
+		fl.GuardSized(pass, arg)
+		fl.Sleep(time.Second)
+		fl.DoSized(record, arg) // skipped when the guard fails
+		fl.Finally()
+		fl.DoSized(record, 10*arg)
+		fl.Start()
+	}
+	end := e.Run()
+	want := []int64{2, 3, -30, -2, -20}
+	if end != time.Second || len(trace) != len(want) {
+		t.Fatalf("end=%v trace=%v, want 1s %v", end, trace, want)
+	}
+	for i := range want {
+		if trace[i] != want[i] {
+			t.Fatalf("trace=%v, want %v", trace, want)
+		}
+	}
+}
+
+// TestStoreGetFlowSharesGetterFIFO queues process and flow getters on an
+// empty store and requires them served in arrival order, then checks a
+// buffered item is handed over inline and a closed store reports !ok.
+func TestStoreGetFlowSharesGetterFIFO(t *testing.T) {
+	e := NewEngine(1)
+	st := NewStore[int](e, 0)
+	var order []string
+	e.Spawn("p1", func(p *Proc) {
+		v, _ := st.Get(p)
+		order = append(order, fmt.Sprintf("p1=%d", v))
+	})
+	e.After(0, func() {
+		st.GetFlow(func(v int, ok bool) { order = append(order, fmt.Sprintf("f1=%d", v)) })
+	})
+	e.Spawn("p2", func(p *Proc) {
+		v, _ := st.Get(p)
+		order = append(order, fmt.Sprintf("p2=%d", v))
+	})
+	e.At(time.Second, func() { st.PutNow(10); st.PutNow(11); st.PutNow(12) })
+	e.Run()
+	if got := fmt.Sprint(order); got != "[p1=10 f1=11 p2=12]" {
+		t.Fatalf("getters served %s, want [p1=10 f1=11 p2=12]", got)
+	}
+
+	st.PutNow(13)
+	inline := false
+	st.GetFlow(func(v int, ok bool) { inline = v == 13 && ok })
+	if !inline {
+		t.Fatal("buffered item not handed over inline")
+	}
+	closed := 0
+	st.GetFlow(func(v int, ok bool) { closed++; inline = ok })
+	st.Close()
+	e.Run()
+	st.GetFlow(func(v int, ok bool) { closed++; inline = inline || ok })
+	if closed != 2 || inline {
+		t.Fatalf("closed store: %d callbacks, ok=%v; want 2, false", closed, inline)
+	}
+}
+
+// TestGetFlowChainMatchesProcLoop runs a greedy dispatcher over a slot
+// store twice — as a process looping Get/Acquire/Sleep and as a chain of
+// GetFlow/AcquireFlow/After callbacks — and requires the same task
+// timings and the same number of scheduled events: the chain takes the
+// place of the process without moving a single event.
+func TestGetFlowChainMatchesProcLoop(t *testing.T) {
+	const ntasks, nslots = 40, 3
+	model := func(chain bool) ([]Time, uint64) {
+		e := NewEngine(7)
+		slots := NewStore[int](e, nslots)
+		for s := 1; s <= nslots; s++ {
+			slots.Prefill(s)
+		}
+		launch := NewResource(e, 1)
+		rng := e.RNG().Split("work")
+		var ends []Time
+		run := func(slot int) {
+			fl := e.NewFlow()
+			fl.SleepFn(func() time.Duration { return rng.DurExp(10 * time.Millisecond) })
+			fl.Do(func() { ends = append(ends, e.Now()); slots.PutNow(slot) })
+			fl.Start()
+		}
+		// A competing process contends for launch capacity throughout.
+		e.Spawn("rival", func(p *Proc) {
+			for i := 0; i < ntasks; i++ {
+				launch.Use(p, 1, time.Millisecond)
+			}
+		})
+		if chain {
+			var next, slot int
+			var gotSlot func(int, bool)
+			var acquired, dispatched func()
+			gotSlot = func(s int, _ bool) { slot = s; launch.AcquireFlow(1, acquired) }
+			acquired = func() { e.After(rng.Jitter(2*time.Millisecond, 0.05), dispatched) }
+			dispatched = func() {
+				launch.Release(1)
+				run(slot)
+				if next++; next < ntasks {
+					slots.GetFlow(gotSlot)
+				}
+			}
+			e.Spawn("dispatcher", func(p *Proc) { slots.GetFlow(gotSlot) })
+		} else {
+			e.Spawn("dispatcher", func(p *Proc) {
+				for i := 0; i < ntasks; i++ {
+					slot, _ := slots.Get(p)
+					launch.Acquire(p, 1)
+					p.Sleep(rng.Jitter(2*time.Millisecond, 0.05))
+					launch.Release(1)
+					run(slot)
+				}
+			})
+		}
+		e.Run()
+		return ends, e.EventsScheduled()
+	}
+	procEnds, procEvents := model(false)
+	chainEnds, chainEvents := model(true)
+	if len(procEnds) != ntasks || fmt.Sprint(procEnds) != fmt.Sprint(chainEnds) {
+		t.Fatalf("task ends differ:\n proc  %v\n chain %v", procEnds, chainEnds)
+	}
+	if procEvents != chainEvents {
+		t.Fatalf("events scheduled: proc %d, chain %d", procEvents, chainEvents)
+	}
 }

@@ -22,7 +22,14 @@
 //   - A lightweight flow layer (see Flow): straight-line "sleep → do →
 //     done" activities run as chained event callbacks with no goroutine
 //     and no channel handoffs, which is what makes million-task model
-//     loops cheap. Flows and their step programs are pooled.
+//     loops cheap. Flows and their step programs are pooled. The sized
+//     steps (SleepSized, DoSized, GuardSized) pass one int64 to a
+//     function bound once, so a per-item step needs no closure.
+//     Engine-context code can also wait on the synchronization
+//     primitives without a process: Resource.AcquireFlow and
+//     Store.GetFlow queue a callback in the same FIFO as parked
+//     processes, which is how a dispatcher loop runs as a callback
+//     chain.
 //
 // Virtual time is a time.Duration offset from the simulation epoch.
 package sim

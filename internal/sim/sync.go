@@ -223,6 +223,13 @@ func (r *Resource) Use(p *Proc, n int, d Time) {
 	r.Release(n)
 }
 
+// storeGetter is one queued Get: either a parked process (p) or a flow
+// continuation (fn). Exactly one of the two is set.
+type storeGetter[T any] struct {
+	p  *Proc
+	fn func(v T, ok bool)
+}
+
 // Store is a FIFO queue of values with optional capacity, the simulation
 // analogue of a buffered channel. Put blocks when full (capacity > 0);
 // Get blocks when empty.
@@ -230,7 +237,7 @@ type Store[T any] struct {
 	e       *Engine
 	cap     int // 0 = unbounded
 	items   ring.Ring[T]
-	getters ring.Ring[*Proc]
+	getters ring.Ring[storeGetter[T]]
 	putters ring.Ring[*Proc]
 	closed  bool
 	pumping bool
@@ -303,12 +310,34 @@ func (s *Store[T]) Get(p *Proc) (v T, ok bool) {
 		if s.closed {
 			return v, false
 		}
-		s.getters.Push(p)
+		s.getters.Push(storeGetter[T]{p: p})
 		p.park()
 	}
 	v = s.items.Pop()
 	s.pump()
 	return v, true
+}
+
+// GetFlow is Get for a lightweight activity: it removes the oldest item
+// and invokes fn(v, true) in engine context — immediately when an item
+// is buffered, otherwise from a later pump pass. fn(zero, false) reports
+// a closed, drained store. Flow getters share the FIFO of process
+// getters, and a queued one takes its item at exactly the point a woken
+// process would, so replacing a Proc's Get with GetFlow leaves the event
+// order unchanged.
+func (s *Store[T]) GetFlow(fn func(v T, ok bool)) {
+	if s.items.Len() == 0 {
+		if s.closed {
+			var zero T
+			fn(zero, false)
+			return
+		}
+		s.getters.Push(storeGetter[T]{fn: fn})
+		return
+	}
+	v := s.items.Pop()
+	s.pump()
+	fn(v, true)
 }
 
 // Close marks the store closed: pending and future Gets drain remaining
@@ -338,7 +367,20 @@ func (s *Store[T]) pumpNow() {
 	// Wake getters while items remain (or the store is closed, so
 	// they can observe it and finish).
 	for s.getters.Len() > 0 && (s.items.Len() > 0 || s.closed) {
-		s.getters.Pop().wake()
+		g := s.getters.Pop()
+		if g.fn == nil {
+			g.p.wake()
+			continue
+		}
+		// What a woken Get does: take an item (and re-pump), or observe
+		// the closed, drained store.
+		var v T
+		ok := s.items.Len() > 0
+		if ok {
+			v = s.items.Pop()
+			s.pump()
+		}
+		g.fn(v, ok)
 	}
 	// Wake putters while there is room (or closed, so they can
 	// panic visibly rather than hang).
