@@ -119,43 +119,43 @@ func runSem(argv []string) int {
 func run() int {
 	fs := flag.NewFlagSet("gopar", flag.ContinueOnError)
 	var (
-		jobs      = fs.Int("j", 8, "number of parallel job slots")
-		keepOrder = fs.Bool("k", false, "output results in input order")
-		dryRun    = fs.Bool("dry-run", false, "print commands without running them")
-		tag       = fs.Bool("tag", false, "prefix output lines with the input value")
-		retries   = fs.Int("retries", 1, "total attempts per job")
-		backoff   = fs.String("retry-backoff", "", `exponential pause between retries: "base[,cap]" (e.g. 1s or 500ms,30s)`)
-		timeout   = fs.Duration("timeout", 0, "per-job timeout (0 = none)")
-		termGrace = fs.Duration("term-grace", 0, "SIGTERM-to-SIGKILL window when cancelling a job's process group (0 = SIGKILL at once)")
-		delay     = fs.Duration("delay", 0, "pause between consecutive job starts")
-		maxLoad   = fs.Float64("load", 0, "pause dispatch while 1-min load average >= this (0 = off)")
-		haltSpec  = fs.String("halt", "", "halt policy: soon|now,fail|success=N or N% (e.g. now,fail=10%)")
-		joblog    = fs.String("joblog", "", "append a GNU-Parallel-format job log to this file")
-		resume    = fs.Bool("resume", false, "skip jobs already completed per --wal (or --joblog when no --wal)")
-		walDir    = fs.String("wal", "", "record a crash-safe write-ahead run log in this directory")
-		walSync   = fs.String("wal-sync", "interval", `write-ahead log durability: "always", "interval" or "never"`)
-		gpuEnv    = fs.String("gpu-env", "", `set <VENDOR>_VISIBLE_DEVICES from the slot number ("HIP" or "CUDA")`)
-		shell     = fs.Bool("shell", false, "always run commands through /bin/sh -c")
-		discard   = fs.Bool("discard-output", false, "send job stdout/stderr to /dev/null (skips output capture entirely)")
-		dir       = fs.String("dir", "", "working directory for jobs")
-		quiet     = fs.Bool("quiet", false, "suppress the summary line")
-		pipe      = fs.Bool("pipe", false, "split stdin into blocks fed to each job's stdin (--pipe mode)")
-		block     = fs.Int("block", 1<<20, "target block size in bytes for --pipe")
-		workers   = fs.String("S", "", `run jobs on gopard workers: "[slots/]host:port,..." (e.g. 8/n1:7547,8/n2:7547)`)
+		jobs       = fs.Int("j", 8, "number of parallel job slots")
+		keepOrder  = fs.Bool("k", false, "output results in input order")
+		dryRun     = fs.Bool("dry-run", false, "print commands without running them")
+		tag        = fs.Bool("tag", false, "prefix output lines with the input value")
+		retries    = fs.Int("retries", 1, "total attempts per job")
+		backoff    = fs.String("retry-backoff", "", `exponential pause between retries: "base[,cap]" (e.g. 1s or 500ms,30s)`)
+		timeout    = fs.Duration("timeout", 0, "per-job timeout (0 = none)")
+		termGrace  = fs.Duration("term-grace", 0, "SIGTERM-to-SIGKILL window when cancelling a job's process group (0 = SIGKILL at once)")
+		delay      = fs.Duration("delay", 0, "pause between consecutive job starts")
+		maxLoad    = fs.Float64("load", 0, "pause dispatch while 1-min load average >= this (0 = off)")
+		haltSpec   = fs.String("halt", "", "halt policy: soon|now,fail|success=N or N% (e.g. now,fail=10%)")
+		joblog     = fs.String("joblog", "", "append a GNU-Parallel-format job log to this file")
+		resume     = fs.Bool("resume", false, "skip jobs already completed per --wal (or --joblog when no --wal)")
+		walDir     = fs.String("wal", "", "record a crash-safe write-ahead run log in this directory")
+		walSync    = fs.String("wal-sync", "interval", `write-ahead log durability: "always", "interval" or "never"`)
+		gpuEnv     = fs.String("gpu-env", "", `set <VENDOR>_VISIBLE_DEVICES from the slot number ("HIP" or "CUDA")`)
+		shell      = fs.Bool("shell", false, "always run commands through /bin/sh -c")
+		discard    = fs.Bool("discard-output", false, "send job stdout/stderr to /dev/null (skips output capture entirely)")
+		dir        = fs.String("dir", "", "working directory for jobs")
+		quiet      = fs.Bool("quiet", false, "suppress the summary line")
+		pipe       = fs.Bool("pipe", false, "split stdin into blocks fed to each job's stdin (--pipe mode)")
+		block      = fs.Int("block", 1<<20, "target block size in bytes for --pipe")
+		workers    = fs.String("S", "", `run jobs on gopard workers: "[slots/]host:port,..." (e.g. 8/n1:7547,8/n2:7547)`)
 		deflateMin = fs.Int("deflate-threshold", 0, "compress v3 wire payloads larger than this many bytes (0 = default 4096, negative = never)")
-		progress  = fs.Bool("progress", false, "show a live progress/ETA line on stderr")
-		colsep    = fs.String("colsep", "", "split input records into columns on this separator ({1}, {2}, ...)")
-		shuf      = fs.Bool("shuf", false, "process inputs in random order")
-		shufSeed  = fs.Uint64("shuf-seed", 0, "seed for --shuf (0 = time-based)")
-		results   = fs.String("results", "", "save per-job stdout/stderr/exitval under this directory")
-		metrics   = fs.String("metrics-addr", "", `serve live Prometheus metrics on this address (e.g. ":9100"; ":0" picks a free port)`)
-		events    = fs.String("events", "", "stream job-lifecycle events as JSON lines to this file")
-		trace     = fs.String("trace", "", "stream a Chrome trace (chrome://tracing) to this file during the run")
-		spans     = fs.String("spans", "", "stream per-job phase-timeline spans as JSON lines to this file (analyze with `gopar report`)")
-		pprofOn   = fs.Bool("pprof", false, "also serve /debug/pprof on --metrics-addr (off by default)")
-		flightBuf = fs.Int("flight-buf", 4096, "flight-recorder event ring capacity (0 disables the recorder)")
-		flightDir = fs.String("flight-dump", "", "directory for flight dump files written on SIGQUIT or panic (default $TMPDIR)")
-		flightP99 = fs.Duration("flight-p99", 0, "flight watchdog: dispatch-delay p99 ceiling that raises an anomaly (0 = off)")
+		progress   = fs.Bool("progress", false, "show a live progress/ETA line on stderr")
+		colsep     = fs.String("colsep", "", "split input records into columns on this separator ({1}, {2}, ...)")
+		shuf       = fs.Bool("shuf", false, "process inputs in random order")
+		shufSeed   = fs.Uint64("shuf-seed", 0, "seed for --shuf (0 = time-based)")
+		results    = fs.String("results", "", "save per-job stdout/stderr/exitval under this directory")
+		metrics    = fs.String("metrics-addr", "", `serve live Prometheus metrics on this address (e.g. ":9100"; ":0" picks a free port)`)
+		events     = fs.String("events", "", "stream job-lifecycle events as JSON lines to this file")
+		trace      = fs.String("trace", "", "stream a Chrome trace (chrome://tracing) to this file during the run")
+		spans      = fs.String("spans", "", "stream per-job phase-timeline spans as JSON lines to this file (analyze with `gopar report`)")
+		pprofOn    = fs.Bool("pprof", false, "also serve /debug/pprof on --metrics-addr (off by default)")
+		flightBuf  = fs.Int("flight-buf", 4096, "flight-recorder event ring capacity (0 disables the recorder)")
+		flightDir  = fs.String("flight-dump", "", "directory for flight dump files written on SIGQUIT or panic (default $TMPDIR)")
+		flightP99  = fs.Duration("flight-p99", 0, "flight watchdog: dispatch-delay p99 ceiling that raises an anomaly (0 = off)")
 		debugAddr  = fs.String("debug-addr", "", `serve /debug/flight and /debug/pprof on this address (e.g. "127.0.0.1:0")`)
 		debugToken = fs.String("debug-token", "", "bearer token required by /debug/flight (empty = open; keep the listener on loopback)")
 	)

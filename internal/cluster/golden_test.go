@@ -31,7 +31,9 @@ func digestInstanceMix() (digest string, reps []*Report, launchQueue int) {
 	c := New(e, Frontier(), 1)
 	n := c.Nodes[0]
 	work := e.RNG().Split("golden/work")
-	flowDur := func() time.Duration { return work.DurExp(40 * time.Millisecond) }
+	flowWork := sim.NewProgram()
+	flowWork.SleepFn(func() time.Duration { return work.DurExp(40 * time.Millisecond) })
+	n.NVMe.FlowCreateAndWrite(flowWork, 256)
 
 	const instances, jobs, perInstance = 20, 4, 23
 	h := sha256.New()
@@ -42,10 +44,7 @@ func digestInstanceMix() (digest string, reps []*Report, launchQueue int) {
 		for t := range tasks {
 			switch t % 3 {
 			case 0:
-				tasks[t].FlowPayload = func(fl *sim.Flow, tc TaskContext) {
-					fl.SleepFn(flowDur)
-					tc.Node.NVMe.FlowCreateAndWrite(fl, 256)
-				}
+				tasks[t].FlowPayload = flowWork
 			case 1:
 				tasks[t].Payload = func(p *sim.Proc, tc TaskContext) error {
 					p.Sleep(work.DurExp(30 * time.Millisecond))

@@ -22,15 +22,21 @@ type Task struct {
 	// a no-op task (the stress-test null job).
 	Payload func(p *sim.Proc, tc TaskContext) error
 	// FlowPayload, when non-nil (and Payload nil), expresses the task's
-	// work as a lightweight callback flow instead of a goroutine
-	// process: the function appends the work's steps (sleeps, resource
-	// holds, filesystem ops) to fl at dispatch time. Eligible tasks —
-	// no Payload, no container runtime, no UseCores, no staging — then
-	// run with no goroutine and no channel handoffs, which is what
-	// makes million-task experiment loops cheap. Flow payloads model
-	// infallible work; node crashes are still detected and reported as
-	// ErrNodeDown. See sim.Flow for the execution model.
-	FlowPayload func(fl *sim.Flow, tc TaskContext)
+	// work as a step fragment (sleeps, resource holds, filesystem ops)
+	// run as a lightweight callback flow instead of a goroutine
+	// process. The caller builds the fragment once and shares it
+	// between tasks; the instance wraps each distinct fragment once in
+	// a task program and starts that program per task. Its sized steps
+	// receive the task's arg, from which SeqOf and SlotOf recover the
+	// task's Seq and slot, so per-task data (a drawn duration, an
+	// output size) is looked up by Seq rather than built into a
+	// fragment per task. Eligible tasks — no Payload, no container
+	// runtime, no UseCores, no staging — then run with no goroutine and
+	// no channel handoffs, which is what makes million-task experiment
+	// loops cheap. Flow payloads model infallible work; node crashes
+	// are still detected and reported as ErrNodeDown. See sim.Program
+	// for the execution model.
+	FlowPayload *sim.Program
 	// StageIn and StageOut, when positive, model data staging around
 	// the payload (e.g. Lustre→NVMe copy-in, result copy-out). They
 	// hold the task's slot but not launch capacity, and are reported
@@ -109,7 +115,8 @@ func (r *Report) Makespan() time.Duration {
 
 // instRun is the state of one RunParallel invocation: the report being
 // accumulated, the slot free-list, the dispatcher's position in the task
-// list, and the per-slot state of in-flight flow tasks.
+// list, the per-slot state of in-flight flow tasks and the task program
+// built for each distinct flow payload.
 //
 // The dispatcher is a chain of engine callbacks, not a process:
 // dispatchNext waits for a slot, gotSlot acquires node-wide launch
@@ -139,22 +146,22 @@ type instRun struct {
 	// inflight holds the state of each running flow task, indexed by
 	// slot-1: concurrent tasks always hold distinct slots.
 	inflight []flowTask
+	// lastFrag and lastProg are the payload fragment last launched and
+	// its task program; programs holds every built program once a
+	// second distinct fragment appears.
+	lastFrag, lastProg *sim.Program
+	programs           map[*sim.Program]*sim.Program
 
-	// The chain's steps and the flow tasks' begin/alive/finish steps,
-	// bound once per instance. Flow steps take the slot as argument.
+	// The chain's steps, bound once per instance.
 	gotSlotFn    func(int, bool)
 	acquiredFn   func()
 	dispatchedFn func()
-	beginFn      func(int64)
-	aliveFn      func(int64) bool
-	finishFn     func(int64)
 }
 
 // flowTask is the state of one in-flight lightweight task. Flow payloads
 // model infallible work, so the only error it can end with is
 // ErrNodeDown.
 type flowTask struct {
-	seq           int
 	dispatchDelay time.Duration
 	start         sim.Time
 	epoch         int
@@ -222,44 +229,71 @@ func (st *instRun) dispatched() {
 	st.dispatchNext()
 }
 
-// launch runs one eligible task as a flow. The program mirrors the
+// launch runs one eligible task as a flow of its payload's task program,
+// with the task's Seq and slot as the run's arg.
+func (st *instRun) launch(task Task, slot int, dispatchDelay time.Duration) {
+	st.inflight[slot-1].dispatchDelay = dispatchDelay
+	st.n.Eng.Start(st.program(task.FlowPayload), int64(task.Seq)<<32|int64(slot))
+}
+
+// SeqOf returns the task's Seq from the arg a flow payload's sized steps
+// receive.
+func SeqOf(arg int64) int { return int(arg >> 32) }
+
+// SlotOf returns the task's 1-based slot from the arg a flow payload's
+// sized steps receive.
+func SlotOf(arg int64) int { return int(uint32(arg)) }
+
+// program returns the task program for payload fragment frag (nil for a
+// no-op task), building it on first use. The program mirrors the
 // process task body step for step — same event scheduling pattern, same
 // bookkeeping order — so switching a model from the process path to the
 // flow path leaves seeded results bit-identical.
-func (st *instRun) launch(task Task, slot int, dispatchDelay time.Duration) {
-	ft := &st.inflight[slot-1]
-	ft.seq, ft.dispatchDelay = task.Seq, dispatchDelay
-	arg := int64(slot)
-	fl := st.n.Eng.NewFlow()
-	fl.DoSized(st.beginFn, arg)
-	fl.GuardSized(st.aliveFn, arg)
-	if task.FlowPayload != nil {
-		task.FlowPayload(fl, TaskContext{Node: st.n, Slot: slot, Seq: task.Seq})
+func (st *instRun) program(frag *sim.Program) *sim.Program {
+	if st.lastProg != nil && frag == st.lastFrag {
+		return st.lastProg
 	}
-	fl.Finally()
-	fl.DoSized(st.finishFn, arg)
-	fl.Start()
+	pg := st.programs[frag]
+	if pg == nil {
+		pg = sim.NewProgram()
+		pg.DoSized(st.begin)
+		pg.GuardSized(st.alive)
+		if frag != nil {
+			pg.Append(frag)
+		}
+		pg.Finally()
+		pg.DoSized(st.finish)
+		if st.lastProg != nil {
+			if st.programs == nil {
+				st.programs = map[*sim.Program]*sim.Program{st.lastFrag: st.lastProg}
+			}
+			st.programs[frag] = pg
+		}
+	}
+	st.lastFrag, st.lastProg = frag, pg
+	return pg
 }
 
 // begin is the flow counterpart of the task body's prologue: record the
 // start time and crash epoch, and fail immediately when launched into a
 // dead node.
-func (st *instRun) begin(slot int64) {
-	ft, n := &st.inflight[slot-1], st.n
+func (st *instRun) begin(arg int64) {
+	ft, n := &st.inflight[SlotOf(arg)-1], st.n
 	ft.start = n.Eng.Now()
 	ft.epoch = n.FailEpoch()
 	ft.down = !n.Alive()
 }
 
-func (st *instRun) alive(slot int64) bool { return !st.inflight[slot-1].down }
+func (st *instRun) alive(arg int64) bool { return !st.inflight[SlotOf(arg)-1].down }
 
 // finish is the flow counterpart of the task body's epilogue and
 // deferred cleanup, in the same order: crash recheck, result
 // bookkeeping, OnResult/Collect, the EventFinished emission, slot
 // return and completion count.
-func (st *instRun) finish(slot int64) {
+func (st *instRun) finish(arg int64) {
+	slot := SlotOf(arg)
 	ft, n := &st.inflight[slot-1], st.n
-	res := TaskResult{Seq: ft.seq, Slot: int(slot), Start: ft.start, End: n.Eng.Now()}
+	res := TaskResult{Seq: SeqOf(arg), Slot: slot, Start: ft.start, End: n.Eng.Now()}
 	if ft.down || n.FailEpoch() != ft.epoch || !n.Alive() {
 		// Launched into a dead node, or the node crashed while the
 		// task was running: the work is gone.
@@ -423,9 +457,6 @@ func (n *Node) RunParallel(p *sim.Proc, cfg InstanceConfig, tasks []Task) *Repor
 	st.dispatchedFn = st.dispatched
 	if st.flowEligible {
 		st.inflight = make([]flowTask, jobs)
-		st.beginFn = st.begin
-		st.aliveFn = st.alive
-		st.finishFn = st.finish
 	}
 	st.dispatchNext()
 	st.wg.Wait(p)
@@ -459,10 +490,11 @@ func NullTasks(n int) []Task {
 // SleepTasks builds n tasks that each hold a slot for the given duration
 // drawn per task by dur (e.g. a distribution closure), called in task
 // order. The tasks run on the lightweight flow path and share one
-// payload, which finds its duration by the task's Seq.
+// payload fragment, which finds its duration by the task's Seq.
 func SleepTasks(n int, dur func(i int) time.Duration) []Task {
 	durs := make([]time.Duration, n)
-	sleep := func(fl *sim.Flow, tc TaskContext) { fl.Sleep(durs[tc.Seq-1]) }
+	sleep := sim.NewProgram()
+	sleep.SleepSized(func(arg int64) time.Duration { return durs[SeqOf(arg)-1] })
 	tasks := make([]Task, n)
 	for i := range tasks {
 		durs[i] = dur(i)

@@ -20,7 +20,7 @@ func FuzzParseJoblog(f *testing.F) {
 	f.Add(strings.Repeat("9\t", 20))
 	// Crash shapes: a valid line followed by a torn partial write.
 	f.Add("1\t:\t0.0\t0.1\t0\t0\t0\t0\tok\n2\t:\t0.0\t0.")
-	f.Add("1\t:\t0.0\t0.1\t0\t0\t0")                  // torn before exitval
+	f.Add("1\t:\t0.0\t0.1\t0\t0\t0")                 // torn before exitval
 	f.Add("1\t:\t0.0\t0.1\t0\t0\t0\t0\tcmd\x00junk") // NUL-spliced tail
 	f.Add("-5\t:\t0.0\t0.1\t0\t0\t0\t0\tnegative seq\n")
 	f.Add("1\t:\t0.0\t0.1\t0\t0\t00\t0x0\thex signal\n")

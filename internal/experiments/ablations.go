@@ -126,16 +126,15 @@ func ablationNVMeTable(opts Options) *metrics.Table {
 		c := cluster.New(e, cluster.Frontier(), nodes,
 			cluster.WithLustre(lustreProfile()))
 		wg := sim.NewCounter(e, nodes)
-		payload := func(fl *sim.Flow, tc cluster.TaskContext) {
-			fl.Sleep(100 * time.Millisecond)
-			if toLustre {
-				c.Lustre.FlowCreateAndWrite(fl, 256)
-			} else {
-				tc.Node.NVMe.FlowCreateAndWrite(fl, 256)
-			}
-		}
 		for _, node := range c.Nodes {
 			node := node
+			payload := sim.NewProgram()
+			payload.Sleep(100 * time.Millisecond)
+			if toLustre {
+				c.Lustre.FlowCreateAndWrite(payload, 256)
+			} else {
+				node.NVMe.FlowCreateAndWrite(payload, 256)
+			}
 			e.Spawn(node.Hostname(), func(np *sim.Proc) {
 				tasks := make([]cluster.Task, 128)
 				for t := range tasks {

@@ -128,13 +128,15 @@ func fig1Sim(opts Options, nodes, tasksPerNode int, label string) (Fig1Row, *sim
 			np.Sleep(setup)
 
 			// Flow payload: the million-task hot loop runs with no
-			// goroutine per task (see sim.Flow), and one payload per
-			// node reads its task's duration by sequence number.
+			// goroutine per task (see sim.Program), and one payload
+			// fragment per node reads its task's duration by
+			// sequence number.
 			durs := make([]time.Duration, tasksPerNode)
-			payload := func(fl *sim.Flow, tc cluster.TaskContext) {
-				fl.Sleep(durs[tc.Seq-1]) // the hostname+date one-liner
-				tc.Node.NVMe.FlowCreateAndWrite(fl, 256)
-			}
+			payload := sim.NewProgram()
+			payload.SleepSized(func(arg int64) time.Duration {
+				return durs[cluster.SeqOf(arg)-1] // the hostname+date one-liner
+			})
+			node.NVMe.FlowCreateAndWrite(payload, 256)
 			tasks := make([]cluster.Task, tasksPerNode)
 			for t := range tasks {
 				durs[t] = time.Duration(payloadRNG.LogNormal(-1.6, 0.5) * float64(time.Second))

@@ -84,7 +84,8 @@ func stragglerRun(opts Options, nodes, tasksPerNode int) StragglerRow {
 		payload := base.Substream("straggler/payload", uint64(i))
 		node.Eng.SpawnAt(ready[i], node.Hostname(), func(np *sim.Proc) {
 			durs := make([]time.Duration, tasksPerNode)
-			sleep := func(fl *sim.Flow, tc cluster.TaskContext) { fl.Sleep(durs[tc.Seq-1]) }
+			sleep := sim.NewProgram()
+			sleep.SleepSized(func(arg int64) time.Duration { return durs[cluster.SeqOf(arg)-1] })
 			tasks := make([]cluster.Task, tasksPerNode)
 			for t := range tasks {
 				durs[t] = time.Duration(payload.LogNormal(2.3, 0.6) * float64(time.Second))

@@ -161,17 +161,16 @@ func BenchmarkFlowTasks(b *testing.B) {
 	e := NewEngine(1)
 	r := NewResource(e, 4)
 	done := 0
-	fn := func() { done++ }
+	pg := NewProgram()
+	pg.Sleep(time.Microsecond)
+	pg.Acquire(r, 1)
+	pg.Sleep(time.Microsecond)
+	pg.Release(r, 1)
+	pg.Do(func() { done++ })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fl := e.NewFlow()
-		fl.Sleep(time.Microsecond)
-		fl.Acquire(r, 1)
-		fl.Sleep(time.Microsecond)
-		fl.Release(r, 1)
-		fl.Do(fn)
-		fl.Start()
+		e.Start(pg, int64(i))
 		if (i+1)%1024 == 0 {
 			e.Run()
 		}

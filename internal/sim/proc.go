@@ -11,7 +11,8 @@ import "time"
 // body returns, its struct goes back to the engine's free list and the
 // next Spawn reuses it, so steady-state spawning allocates nothing
 // beyond the caller's own body closure. For straight-line "sleep → do →
-// done" work, prefer the even cheaper Flow layer (no goroutine at all).
+// done" work, prefer the even cheaper Program layer (no goroutine at
+// all).
 //
 // All Proc methods must be called from the process's own goroutine (i.e.
 // from inside the function passed to Engine.Spawn).

@@ -19,12 +19,15 @@
 //     moment. Proc structs and their resume channels are pooled across
 //     spawns. Results are bit-for-bit reproducible for a given seed.
 //
-//   - A lightweight flow layer (see Flow): straight-line "sleep → do →
-//     done" activities run as chained event callbacks with no goroutine
-//     and no channel handoffs, which is what makes million-task model
-//     loops cheap. Flows and their step programs are pooled. The sized
-//     steps (SleepSized, DoSized, GuardSized) pass one int64 to a
-//     function bound once, so a per-item step needs no closure.
+//   - A lightweight flow layer (see Program): straight-line "sleep → do
+//     → done" activities run as chained event callbacks with no
+//     goroutine and no channel handoffs, which is what makes
+//     million-task model loops cheap. A step program is built once and
+//     shared; each Start runs it as a flow, a pooled run record of
+//     (program, position, arg) that holds no steps of its own. The sized
+//     steps (SleepSized, DoSized, GuardSized) pass the run's arg to a
+//     function bound once, so per-item data needs no closure and no
+//     per-item program.
 //     Engine-context code can also wait on the synchronization
 //     primitives without a process: Resource.AcquireFlow and
 //     Store.GetFlow queue a callback in the same FIFO as parked
@@ -94,9 +97,9 @@ type Engine struct {
 	// diagnostics.
 	nproc int
 	// procFree recycles Proc structs (and their resume channels) across
-	// spawns; flowFree recycles Flow state across runs.
+	// spawns; flowFree recycles program run records across runs.
 	procFree []*Proc
-	flowFree []*Flow
+	flowFree []*flow
 }
 
 // NewEngine returns an engine whose clock starts at 0 and whose random

@@ -152,7 +152,8 @@ func (r *Resource) Acquire(p *Proc, n int) {
 // AcquireFlow obtains n units for a lightweight activity, invoking fn
 // (in engine context) once granted — immediately when the resource is
 // free, otherwise from a later grant pass. It shares the same strict
-// FIFO queue as process waiters. Flow.Acquire is the usual entry point.
+// FIFO queue as process waiters. A Program's Acquire step is the usual
+// entry point.
 func (r *Resource) AcquireFlow(n int, fn func()) {
 	if n <= 0 || n > r.cap {
 		panic("sim: Resource.AcquireFlow n out of range")

@@ -44,12 +44,9 @@ type FS struct {
 	meta  *sim.Resource
 	rng   *sim.RNG
 	stats Stats
-	// Pre-bound method values handed to flow steps (sim.Flow), so the
-	// Flow* methods append steps without allocating a closure per call.
+	// Pre-bound method values handed to program steps, so the metadata
+	// steps share one closure per filesystem.
 	metaDurFn   func() time.Duration
-	transferFn  func(int64) time.Duration
-	recWriteFn  func(int64)
-	recReadFn   func(int64)
 	recMetaOpFn func()
 }
 
@@ -88,9 +85,6 @@ func NewWithRand(e *sim.Engine, cfg Config, rng *sim.RNG) *FS {
 		rng:  rng,
 	}
 	f.metaDurFn = f.metaDur
-	f.transferFn = f.transferTime
-	f.recWriteFn = f.recordWrite
-	f.recReadFn = f.recordRead
 	f.recMetaOpFn = f.recordMetaOp
 	return f
 }
@@ -165,50 +159,51 @@ func (f *FS) ReadFile(p *sim.Proc, size int64) {
 	f.Read(p, size)
 }
 
-// --- Flow counterparts ----------------------------------------------------
+// --- Program counterparts -------------------------------------------------
 //
-// These append the same operations to a lightweight flow program
-// (sim.Flow) instead of blocking a process. Service-time draws happen
-// when the step executes — after the resource grant, exactly where the
-// process versions draw — so a model switched from the Proc methods to
-// the Flow methods produces bit-identical seeded results.
+// These append the same operations to a step program (sim.Program)
+// instead of blocking a process. Service-time draws happen when the step
+// executes — after the resource grant, exactly where the process
+// versions draw — so a model switched from the Proc methods to the Flow
+// methods produces bit-identical seeded results. The size is fixed when
+// the program is built: every run of it moves the same bytes.
 
-// FlowRead appends a size-byte read to fl.
-func (f *FS) FlowRead(fl *sim.Flow, size int64) {
-	fl.Acquire(f.data, 1)
-	fl.SleepSized(f.transferFn, size)
-	fl.Release(f.data, 1)
-	fl.DoSized(f.recReadFn, size)
+// FlowRead appends a size-byte read to pg.
+func (f *FS) FlowRead(pg *sim.Program, size int64) {
+	pg.Acquire(f.data, 1)
+	pg.SleepFn(func() time.Duration { return f.transferTime(size) })
+	pg.Release(f.data, 1)
+	pg.Do(func() { f.recordRead(size) })
 }
 
-// FlowWrite appends a size-byte write to fl.
-func (f *FS) FlowWrite(fl *sim.Flow, size int64) {
-	fl.Acquire(f.data, 1)
-	fl.SleepSized(f.transferFn, size)
-	fl.Release(f.data, 1)
-	fl.DoSized(f.recWriteFn, size)
+// FlowWrite appends a size-byte write to pg.
+func (f *FS) FlowWrite(pg *sim.Program, size int64) {
+	pg.Acquire(f.data, 1)
+	pg.SleepFn(func() time.Duration { return f.transferTime(size) })
+	pg.Release(f.data, 1)
+	pg.Do(func() { f.recordWrite(size) })
 }
 
-// FlowMetaOp appends one metadata operation to fl.
-func (f *FS) FlowMetaOp(fl *sim.Flow) {
-	fl.Acquire(f.meta, 1)
-	fl.SleepFn(f.metaDurFn)
-	fl.Release(f.meta, 1)
-	fl.Do(f.recMetaOpFn)
+// FlowMetaOp appends one metadata operation to pg.
+func (f *FS) FlowMetaOp(pg *sim.Program) {
+	pg.Acquire(f.meta, 1)
+	pg.SleepFn(f.metaDurFn)
+	pg.Release(f.meta, 1)
+	pg.Do(f.recMetaOpFn)
 }
 
 // FlowCreateAndWrite appends a file creation (metadata op + data
-// transfer) to fl — the flow form of CreateAndWrite, for per-task output
-// files in full-scale experiment loops.
-func (f *FS) FlowCreateAndWrite(fl *sim.Flow, size int64) {
-	f.FlowMetaOp(fl)
-	f.FlowWrite(fl, size)
+// transfer) to pg — the program form of CreateAndWrite, for per-task
+// output files in full-scale experiment loops.
+func (f *FS) FlowCreateAndWrite(pg *sim.Program, size int64) {
+	f.FlowMetaOp(pg)
+	f.FlowWrite(pg, size)
 }
 
-// FlowReadFile appends opening and reading an existing file to fl.
-func (f *FS) FlowReadFile(fl *sim.Flow, size int64) {
-	f.FlowMetaOp(fl)
-	f.FlowRead(fl, size)
+// FlowReadFile appends opening and reading an existing file to pg.
+func (f *FS) FlowReadFile(pg *sim.Program, size int64) {
+	f.FlowMetaOp(pg)
+	f.FlowRead(pg, size)
 }
 
 // Unlink removes a file (metadata only).

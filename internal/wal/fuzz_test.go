@@ -39,11 +39,11 @@ func validSegment(tb testing.TB) []byte {
 func FuzzReplaySegment(f *testing.F) {
 	seg := validSegment(f)
 	f.Add(seg)
-	f.Add(seg[:len(seg)-3])            // torn tail
-	f.Add(seg[:headerSize])            // header only
-	f.Add([]byte{})                    // empty file
+	f.Add(seg[:len(seg)-3])                   // torn tail
+	f.Add(seg[:headerSize])                   // header only
+	f.Add([]byte{})                           // empty file
 	f.Add([]byte("GOPARWAL\x01\x00\x00\x00")) // bare header
-	f.Add([]byte("NOTAWAL!"))          // bad magic
+	f.Add([]byte("NOTAWAL!"))                 // bad magic
 	flipped := append([]byte{}, seg...)
 	if len(flipped) > headerSize+10 {
 		flipped[headerSize+9] ^= 0x40 // corrupt a payload byte under its CRC

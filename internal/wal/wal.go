@@ -65,8 +65,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 const (
 	PointAppendIntent     = "wal.append.intent"
 	PointAppendCompletion = "wal.append.completion"
-	PointSyncPre          = "wal.sync.pre"        // before the buffer flush
-	PointSyncMid          = "wal.sync.mid"        // flushed, before fsync
+	PointSyncPre          = "wal.sync.pre"          // before the buffer flush
+	PointSyncMid          = "wal.sync.mid"          // flushed, before fsync
 	PointRotateCheckpoint = "wal.rotate.checkpoint" // new segment created, checkpoint not yet written
 	PointRotateDelete     = "wal.rotate.delete"     // checkpoint durable, old segments not yet deleted
 )
@@ -129,18 +129,18 @@ type Log struct {
 	dir string
 	opt Options
 
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
+	mu       sync.Mutex
+	f        *os.File
+	w        *bufio.Writer
 	segIdx   int
 	segSize  int64
 	ckptSize int64 // framed size of this segment's head checkpoint, if any
-	dirty   bool
-	err     error // sticky: first write/sync failure or ErrCrashed
-	closed  bool
-	scratch []byte // payload encode buffer, reused across appends
-	frame   []byte // frame encode buffer, reused across appends
-	batch   []byte // drain batch encode buffer, reused across drains
+	dirty    bool
+	err      error // sticky: first write/sync failure or ErrCrashed
+	closed   bool
+	scratch  []byte // payload encode buffer, reused across appends
+	frame    []byte // frame encode buffer, reused across appends
+	batch    []byte // drain batch encode buffer, reused across drains
 
 	st *tracker // live replay-equivalent state, feeds rotation checkpoints
 
