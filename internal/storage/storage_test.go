@@ -114,6 +114,50 @@ func TestCreateAndWriteCombines(t *testing.T) {
 	}
 }
 
+// TestFlowOpsMatchProcOps runs the same contended file traffic twice on
+// identically seeded engines, once as processes calling CreateAndWrite
+// and ReadFile and once as runs of one program built with their Flow*
+// counterparts, and requires the same end times and the same stats.
+func TestFlowOpsMatchProcOps(t *testing.T) {
+	const workers = 12
+	model := func(useProgram bool) ([]sim.Time, Stats) {
+		e := sim.NewEngine(9)
+		fs := testFS(e, "fs", 2e9, 1e9) // 2 data slots, 2 metadata slots
+		var ends []sim.Time
+		done := func() { ends = append(ends, e.Now()) }
+		pg := sim.NewProgram()
+		fs.FlowCreateAndWrite(pg, 3e8)
+		fs.FlowReadFile(pg, 1e8)
+		pg.Do(done)
+		for i := 0; i < workers; i++ {
+			if useProgram {
+				e.Start(pg, int64(i))
+				continue
+			}
+			e.Spawn("w", func(p *sim.Proc) {
+				fs.CreateAndWrite(p, 3e8)
+				fs.ReadFile(p, 1e8)
+				done()
+			})
+		}
+		e.Run()
+		return ends, fs.Stats()
+	}
+	procEnds, procStats := model(false)
+	flowEnds, flowStats := model(true)
+	if len(procEnds) != workers || len(flowEnds) != workers {
+		t.Fatalf("completed %d / %d, want %d", len(procEnds), len(flowEnds), workers)
+	}
+	for i := range procEnds {
+		if procEnds[i] != flowEnds[i] {
+			t.Fatalf("end %d: proc %v, program %v", i, procEnds[i], flowEnds[i])
+		}
+	}
+	if procStats != flowStats || flowStats.Reads != workers || flowStats.MetaOps != 2*workers {
+		t.Fatalf("stats: proc %+v, program %+v", procStats, flowStats)
+	}
+}
+
 func TestCopyThrottledBySlowerSide(t *testing.T) {
 	e := sim.NewEngine(1)
 	fast := testFS(e, "a-fast", 100e9, 10e9)
